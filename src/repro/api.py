@@ -2,8 +2,7 @@
 
 Every surface that accepts a planning request — the ``primepar`` CLI, the
 ``repro.serve`` HTTP daemon, and the typed :class:`~repro.serve.client.PlanClient`
-— used to spell the same request slightly differently (argparse namespaces,
-``SearchParams``, ad-hoc dicts).  This module is the single schema:
+— speaks this single schema:
 
 * **Request types** — frozen dataclasses (:class:`SearchRequest`,
   :class:`SimulateRequest`, :class:`ExplainRequest`,
@@ -11,26 +10,31 @@ Every surface that accepts a planning request — the ``primepar`` CLI, the
   ``to_json``/``from_json`` round-trips, and validation errors that carry
   the offending field path (:class:`ValidationError`, mapped to HTTP 400
   by the server).
+* **Executors** — one per request kind (:func:`run_search`,
+  :func:`run_simulate`, :func:`run_explain`, :func:`run_robustness`, and
+  :func:`run_robust_search` for the CLI's plan portfolio), all planning
+  against the ``(model, profiler, graph)`` setting of
+  :func:`build_setting`.  The CLI and the daemon both execute requests
+  through them; the CLI only renders the results, the daemon only
+  caches, coalesces and admits them.
 * **Result envelopes** — helpers (:func:`stamp`, :func:`check_schema`,
   :func:`plan_to_json`, :func:`plan_from_json`) used by the schema-versioned
   ``to_json``/``from_json`` pairs on :class:`~repro.IterationReport`,
   :class:`~repro.SearchResult`, ``PipelineReport`` and ``RobustnessReport``.
 
-``repro.serve.SearchParams`` survives as a thin deprecated alias of
-:class:`SearchRequest` (one release; it warns on use), and
-``repro.serve.RequestError`` is now literally :class:`ValidationError`.
-
 Wire compatibility: field names, defaults, canonicalization (``batch == 0``
 resolves to ``max(8, min(devices, 32))``) and the plan cache key are
 bit-identical to the pre-``repro.api`` serving layer, so warm plan stores
 and checked-in bench baselines remain valid.
+
+The executors import the optimizer and simulators lazily, so importing
+this module stays cheap.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Tuple
 
 from . import cache as diskcache
 from .graph.models import MODELS_BY_KEY
@@ -44,9 +48,16 @@ __all__ = [
     "SearchRequest",
     "SimulateRequest",
     "ValidationError",
+    "build_setting",
     "check_schema",
     "plan_from_json",
     "plan_to_json",
+    "resolve_plan",
+    "run_explain",
+    "run_robust_search",
+    "run_robustness",
+    "run_search",
+    "run_simulate",
     "stamp",
 ]
 
@@ -238,6 +249,11 @@ class SimulateRequest:
             "layers": self.layers,
         }
 
+    @property
+    def n_layers(self) -> int:
+        """Layers to replay: ``layers``, or the model's depth when 0."""
+        return self.layers or MODELS_BY_KEY[self.search.model].n_layers
+
 
 @dataclass(frozen=True)
 class ExplainRequest:
@@ -330,6 +346,24 @@ class RobustnessRequest:
             "layers": self.layers,
         }
 
+    @property
+    def n_layers(self) -> int:
+        """Layers per replay: ``layers``, or the model's depth when 0."""
+        return self.layers or MODELS_BY_KEY[self.search.model].n_layers
+
+    def fault_model(self):
+        """The parsed :class:`~repro.sim.faults.FaultModel`.
+
+        Raises:
+            ValidationError: Under the ``faults`` field path when the spec
+                string or JSON object is malformed.
+        """
+        from .sim.faults import FaultModel
+
+        if isinstance(self.faults, str):
+            return FaultModel.from_spec(self.faults)
+        return FaultModel.from_json(self.faults)
+
 
 # ----------------------------------------------------------------------
 # result envelopes
@@ -382,11 +416,139 @@ def plan_from_json(payload: Mapping[str, str], n_bits: int) -> Dict[str, Any]:
     return plan
 
 
-def deprecated_alias(old: str, new: str) -> None:
-    """Emit the one-release deprecation warning for a legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
+# ----------------------------------------------------------------------
+# executors: one per request kind, shared by the CLI and the daemon
+# ----------------------------------------------------------------------
+
+
+def build_setting(request: SearchRequest) -> Tuple[Any, Any, Any]:
+    """The ``(model, profiler, graph)`` every request kind plans against."""
+    from .cluster.profiler import FabricProfiler
+    from .cluster.topology import v100_cluster
+    from .graph.transformer import build_block_graph
+
+    model = MODELS_BY_KEY[request.model]
+    profiler = FabricProfiler(v100_cluster(request.devices))
+    graph = build_block_graph(model.block_shape(batch=request.batch))
+    return model, profiler, graph
+
+
+def run_search(request: SearchRequest, *, jobs: int = 1, deadline=None,
+               setting=None):
+    """The plan search for ``request`` (a :class:`~repro.SearchResult`).
+
+    ``deadline`` is an optional cooperative
+    :class:`~repro.core.optimizer.deadline.Deadline`.
+    """
+    from .core.optimizer.strategy import PrimeParOptimizer
+
+    model, profiler, graph = setting or build_setting(request)
+    optimizer = PrimeParOptimizer(
+        profiler,
+        alpha=request.alpha,
+        include_temporal=request.include_temporal,
+        beam=request.beam or None,
+        jobs=jobs,
+    )
+    return optimizer.optimize(
+        graph, n_layers=model.n_layers, deadline=deadline
+    )
+
+
+def resolve_plan(request: SearchRequest, plan, setting, *, jobs: int = 1):
+    """``plan`` as ``{operator: PartitionSpec}`` for ``request``.
+
+    ``plan`` is ``"primepar"`` (run the search), ``"megatron"`` (the best
+    Megatron-LM baseline), or an explicit plan whose values are
+    :class:`~repro.PartitionSpec` objects or their wire-shape strings.
+    """
+    model, profiler, graph = setting
+    if plan == "primepar":
+        return run_search(request, jobs=jobs, setting=setting).plan
+    if plan == "megatron":
+        from .baselines.megatron import best_megatron_plan
+        from .sim.executor import TrainingSimulator
+
+        return best_megatron_plan(
+            TrainingSimulator(profiler), graph, request.batch, model.n_layers
+        ).plan
+    if all(isinstance(spec, str) for spec in plan.values()):
+        return plan_from_json(plan, profiler.topology.n_bits)
+    return plan
+
+
+def _planned(search: SearchRequest, plan, setting, jobs: int):
+    """``(profiler, graph, plan)`` with ``plan`` resolved for ``search``."""
+    setting = setting or build_setting(search)
+    _, profiler, graph = setting
+    return profiler, graph, resolve_plan(search, plan, setting, jobs=jobs)
+
+
+def run_simulate(request: SimulateRequest, plan="primepar", *, jobs: int = 1,
+                 setting=None):
+    """Replay ``plan`` on the request's engine (an
+    :class:`~repro.IterationReport`)."""
+    from .sim.engine import EventDrivenSimulator
+    from .sim.executor import TrainingSimulator
+
+    search = request.search
+    profiler, graph, plan = _planned(search, plan, setting, jobs)
+    if request.engine == "event":
+        simulator = EventDrivenSimulator(profiler)
+    else:
+        simulator = TrainingSimulator(profiler)
+    return simulator.run_model(graph, plan, search.batch, request.n_layers)
+
+
+def run_explain(request: ExplainRequest, plan="primepar", *, jobs: int = 1,
+                setting=None) -> Dict[str, Any]:
+    """The cost decomposition of ``plan`` (see :mod:`repro.core.explain`)."""
+    from .core.explain import explain_plan
+
+    search = request.search
+    profiler, graph, plan = _planned(search, plan, setting, jobs)
+    return explain_plan(
+        profiler, graph, plan, alpha=search.alpha,
+        include_links=request.links, global_batch=search.batch,
+    )
+
+
+def run_robustness(request: RobustnessRequest, plan="primepar", *,
+                   jobs: int = 1, setting=None):
+    """``plan``'s :class:`~repro.sim.faults.RobustnessReport` under the
+    request's fault model."""
+    from .sim.faults import evaluate_robustness
+
+    search = request.search
+    profiler, graph, plan = _planned(search, plan, setting, jobs)
+    return evaluate_robustness(
+        profiler, graph, plan, search.batch, request.n_layers,
+        request.fault_model(), scenarios=request.scenarios,
+        seed=request.seed, jobs=jobs,
+    )
+
+
+def run_robust_search(request: RobustnessRequest, *, jobs: int = 1,
+                      setting=None):
+    """Rank the plan portfolio by the request's objective under its fault
+    model (a :class:`~repro.sim.faults.RobustSearchResult`)."""
+    from .sim.faults import robust_search
+
+    fault_model = request.fault_model()  # a bad spec fails before any work
+    search = request.search
+    model, profiler, graph = setting or build_setting(search)
+    return robust_search(
+        profiler,
+        graph,
+        global_batch=search.batch,
+        n_layers=model.n_layers,
+        fault_model=fault_model,
+        objective=request.objective,
+        blend=request.blend,
+        scenarios=request.scenarios,
+        seed=request.seed,
+        sim_layers=request.n_layers,
+        alpha=search.alpha,
+        beam=search.beam or None,
+        jobs=jobs,
     )

@@ -16,11 +16,15 @@ Requests are validated through the canonical :mod:`repro.api` dataclasses
 speak — so a bad ``--devices`` fails with the identical message in every
 front-end (exit code 2).
 
+Requests execute through the :mod:`repro.api` executors — the same ones
+behind the daemon's endpoints — so this module only parses arguments and
+renders results.
+
 Global observability flags: ``--log-level``/``--log-json`` configure the
-structured logger (stderr; result tables stay on stdout), and ``search`` /
-``simulate`` accept ``--metrics-out PATH`` to dump the telemetry registry
-(counters, gauges, histograms, spans) as schema-stable JSON that
-``primepar report`` renders.
+structured logger (stderr; result tables stay on stdout), and ``search``,
+``simulate``, ``explain`` and ``faults`` accept ``--metrics-out PATH`` to
+dump the telemetry registry (counters, gauges, histograms, spans) as
+schema-stable JSON that ``primepar report`` renders.
 """
 
 from __future__ import annotations
@@ -31,20 +35,26 @@ import sys
 from typing import List, Optional
 
 from . import (
-    EventDrivenSimulator,
-    FabricProfiler,
     PartitionSpec,
     Planner3D,
     PrimeParOptimizer,
-    RobustnessRequest,
-    SearchRequest,
     TrainingSimulator,
     ValidationError,
-    build_block_graph,
-    v100_cluster,
     verify_spec,
 )
-from .api import OBJECTIVES
+from .api import (
+    OBJECTIVES,
+    ExplainRequest,
+    RobustnessRequest,
+    SearchRequest,
+    SimulateRequest,
+    build_setting,
+    resolve_plan,
+    run_explain,
+    run_robust_search,
+    run_search,
+    run_simulate,
+)
 from .baselines.alpa import alpa_optimizer
 from .baselines.megatron import best_megatron_plan
 from .graph.models import MODELS_BY_KEY
@@ -95,13 +105,13 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _request_for(args) -> SearchRequest:
-    """The common CLI knobs, validated through the canonical request type.
+def _request_for(args, kind=SearchRequest, **fields):
+    """The common CLI knobs plus ``fields``, validated as a ``kind`` request.
 
     Raises :class:`repro.ValidationError` (handled in :func:`main` with
     exit code 2) with the exact message the serving daemon would return.
     """
-    return SearchRequest.from_json(
+    return kind.from_json(
         {
             "model": args.model,
             "devices": args.devices,
@@ -109,52 +119,32 @@ def _request_for(args) -> SearchRequest:
             "alpha": args.alpha,
             "beam": getattr(args, "beam", 0),
             "include_temporal": not getattr(args, "no_temporal", False),
+            **fields,
         }
     )
 
 
-def _setting(args):
-    request = _request_for(args)
-    model = MODELS_BY_KEY[request.model]
-    profiler = FabricProfiler(v100_cluster(request.devices))
-    graph = build_block_graph(model.block_shape(batch=request.batch))
-    return model, request.batch, profiler, graph
-
-
-def _write_metrics_if_requested(args) -> None:
-    path = getattr(args, "metrics_out", "")
-    if path:
-        write_metrics(path)
-        logger.info("telemetry metrics written to %s", path)
-
-
 def cmd_search(args) -> int:
-    model, batch, profiler, graph = _setting(args)
+    request = _request_for(args)
+    setting = build_setting(request)
     logger.info(
         "searching %s on %d devices (batch %d, beam %s, jobs %d)",
-        model.name, args.devices, batch, args.beam or "exact", args.jobs,
+        setting[0].name, args.devices, request.batch, args.beam or "exact",
+        args.jobs,
     )
-    optimizer = PrimeParOptimizer(
-        profiler,
-        alpha=args.alpha,
-        include_temporal=not args.no_temporal,
-        beam=args.beam or None,
-        jobs=args.jobs,
-    )
-    result = optimizer.optimize(graph, n_layers=model.n_layers)
+    result = run_search(request, jobs=args.jobs, setting=setting)
     for stage, seconds in sorted(result.stage_seconds.items()):
         logger.debug("search stage %s: %.3fs", stage, seconds)
     emit(f"search: {result.elapsed:.2f}s  layer cost {result.cost:.4f}")
     rows = [[name, str(spec)] for name, spec in sorted(result.plan.items())]
     emit(format_table(["operator", "partition sequence P"], rows))
-    report = TrainingSimulator(profiler).run_model(
-        graph, result.plan, batch, model.n_layers
+    report = run_simulate(
+        SimulateRequest(search=request), result.plan, setting=setting
     )
     emit(
         f"\nsimulated: {report.throughput:.2f} samples/s, "
         f"{report.peak_memory_bytes / 2**30:.2f} GiB/device"
     )
-    _write_metrics_if_requested(args)
     return 0
 
 
@@ -173,7 +163,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model, batch, profiler, graph = _setting(args)
+    request = _request_for(args)
+    model, profiler, graph = build_setting(request)
+    batch = request.batch
     simulator = TrainingSimulator(profiler)
     beam = args.beam or None
     logger.info(
@@ -261,17 +253,18 @@ def _emit_utilization(report, n_layers: int) -> None:
         )
 
 
-def _emit_fault_replay(args, profiler, graph, plan, batch, n_layers, report):
+def _emit_fault_replay(args, request, setting, plan, report):
     """Replay one sampled fault scenario on top of a nominal simulation."""
     from .sim.faults import FaultModel, simulate_scenario
 
+    _, profiler, graph = setting
     fault_model = FaultModel.from_spec(args.faults)
     scenario = fault_model.sample(
         profiler.topology, args.scenario, args.seed, horizon=report.latency
     )
     outcome = simulate_scenario(
-        profiler, graph, plan, batch, n_layers, scenario,
-        fault_model.recovery, report.latency,
+        profiler, graph, plan, request.search.batch, request.n_layers,
+        scenario, fault_model.recovery, report.latency,
     )
     rows = [
         ["nominal", f"{outcome.nominal_latency * 1e3:.3f}"],
@@ -296,24 +289,17 @@ def _emit_fault_replay(args, profiler, graph, plan, batch, n_layers, report):
 
 
 def cmd_simulate(args) -> int:
-    model, batch, profiler, graph = _setting(args)
+    request = _request_for(
+        args, SimulateRequest, engine=args.engine, layers=args.layers
+    )
     if args.faults and args.engine != "event":
         raise ValidationError(
             "--faults requires the event engine (--engine event)", "engine"
         )
-    if args.plan == "megatron":
-        plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, batch, model.n_layers
-        ).plan
-    else:
-        plan = PrimeParOptimizer(
-            profiler, alpha=args.alpha, beam=args.beam or None, jobs=args.jobs
-        ).optimize(graph, n_layers=model.n_layers).plan
-    if args.engine == "event":
-        simulator = EventDrivenSimulator(profiler)
-    else:
-        simulator = TrainingSimulator(profiler)
-    n_layers = args.layers or model.n_layers
+    setting = build_setting(request.search)
+    model, profiler, _ = setting
+    plan = resolve_plan(request.search, args.plan, setting, jobs=args.jobs)
+    n_layers = request.n_layers
     logger.info(
         "simulating %s plan on the %s engine (%d devices, %d layers)",
         args.plan, args.engine, args.devices, n_layers,
@@ -324,17 +310,17 @@ def cmd_simulate(args) -> int:
         prof = cProfile.Profile()
         prof.enable()
         try:
-            report = simulator.run_model(graph, plan, batch, n_layers)
+            report = run_simulate(request, plan, setting=setting)
         finally:
             prof.disable()
             prof.dump_stats(args.profile)
         logger.info("cProfile stats written to %s", args.profile)
         emit(f"cProfile stats written to {args.profile}")
     else:
-        report = simulator.run_model(graph, plan, batch, n_layers)
+        report = run_simulate(request, plan, setting=setting)
     emit(
         f"{args.engine} engine: {model.name}, {args.devices} devices, "
-        f"batch {batch}, {n_layers} layers",
+        f"batch {request.search.batch}, {n_layers} layers",
         f"iteration latency {report.latency * 1e3:.3f} ms, "
         f"{report.throughput:.2f} samples/s, "
         f"{report.peak_memory_bytes / 2**30:.2f} GiB/device",
@@ -346,9 +332,7 @@ def cmd_simulate(args) -> int:
     emit(format_table(["kernel kind", "total ms"], rows))
     _emit_utilization(report, n_layers)
     if args.faults:
-        _emit_fault_replay(
-            args, profiler, graph, plan, batch, n_layers, report
-        )
+        _emit_fault_replay(args, request, setting, plan, report)
     if args.trace:
         from .sim.trace import write_trace
 
@@ -360,18 +344,7 @@ def cmd_simulate(args) -> int:
         )
         logger.info("trace written to %s", args.trace)
         emit(f"trace written to {args.trace}")
-    _write_metrics_if_requested(args)
     return 0
-
-
-def _explain_plan_for(args, profiler, graph, model, batch):
-    if args.plan == "megatron":
-        return best_megatron_plan(
-            TrainingSimulator(profiler), graph, batch, model.n_layers
-        ).plan
-    return PrimeParOptimizer(
-        profiler, alpha=args.alpha, beam=args.beam or None, jobs=args.jobs
-    ).optimize(graph, n_layers=model.n_layers).plan
 
 
 def _ms(seconds: float) -> str:
@@ -489,21 +462,20 @@ def emit_explanation(doc) -> None:
 
 
 def cmd_explain(args) -> int:
-    from .core.explain import explain_pipeline, explain_plan
-
-    model, batch, profiler, graph = _setting(args)
+    request = _request_for(args, ExplainRequest, links=not args.no_links)
     if args.config3d:
         try:
             p, d, m = (int(x) for x in args.config3d.split(":"))
         except ValueError:
             logger.error("--config3d expects p:d:m, got %r", args.config3d)
             return 2
+        from .core.explain import explain_pipeline
         from .parallel3d.planner import Config3D
 
         planner = Planner3D(
-            model,
+            MODELS_BY_KEY[request.search.model],
             n_devices=args.devices,
-            global_batch=batch,
+            global_batch=request.search.batch,
             alpha=args.alpha,
             jobs=args.jobs,
         )
@@ -515,71 +487,36 @@ def cmd_explain(args) -> int:
         )
         doc = explain_pipeline(result)
     else:
-        plan = _explain_plan_for(args, profiler, graph, model, batch)
         logger.info(
             "explaining the %s plan on %d devices", args.plan, args.devices
         )
-        doc = explain_plan(
-            profiler,
-            graph,
-            plan,
-            alpha=args.alpha,
-            include_links=not args.no_links,
-            global_batch=batch,
-        )
+        doc = run_explain(request, args.plan, jobs=args.jobs)
     if args.json:
         emit(json.dumps(doc, indent=1, sort_keys=True))
         return 0
     emit_explanation(doc)
-    _write_metrics_if_requested(args)
     return 0
 
 
 def cmd_faults(args) -> int:
-    from .sim.faults import FaultModel, robust_search
-
-    request = RobustnessRequest.from_json(
-        {
-            "model": args.model,
-            "devices": args.devices,
-            "batch": args.batch,
-            "alpha": args.alpha,
-            "beam": args.beam,
-            "faults": args.faults,
-            "scenarios": args.scenarios,
-            "seed": args.seed,
-            "objective": args.objective,
-            "blend": args.blend,
-            "layers": args.layers,
-        }
+    request = _request_for(
+        args,
+        RobustnessRequest,
+        faults=args.faults,
+        scenarios=args.scenarios,
+        seed=args.seed,
+        objective=args.objective,
+        blend=args.blend,
+        layers=args.layers,
     )
-    fault_model = FaultModel.from_spec(args.faults)
     model = MODELS_BY_KEY[request.search.model]
-    batch = request.search.batch
-    profiler = FabricProfiler(v100_cluster(request.search.devices))
-    graph = build_block_graph(model.block_shape(batch=batch))
-    sim_layers = request.layers or model.n_layers
     logger.info(
         "robust search for %s on %d devices (%d scenarios, seed %d, "
         "objective %s)",
         model.name, request.search.devices, request.scenarios, request.seed,
         request.objective,
     )
-    result = robust_search(
-        profiler,
-        graph,
-        global_batch=batch,
-        n_layers=model.n_layers,
-        fault_model=fault_model,
-        objective=request.objective,
-        blend=request.blend,
-        scenarios=request.scenarios,
-        seed=request.seed,
-        sim_layers=sim_layers,
-        alpha=request.search.alpha,
-        beam=request.search.beam or None,
-        jobs=args.jobs,
-    )
+    result = run_robust_search(request, jobs=args.jobs)
     if args.json:
         emit(json.dumps(result.to_json(), indent=1, sort_keys=True))
         return 0
@@ -604,13 +541,12 @@ def cmd_faults(args) -> int:
             rows,
             title=(
                 f"{model.name} on {request.search.devices} devices, "
-                f"{sim_layers} layers, {request.scenarios} scenarios "
-                f"(seed {request.seed})"
+                f"{request.n_layers} layers, "
+                f"{request.scenarios} scenarios (seed {request.seed})"
             ),
         )
     )
     emit(f"\nbest plan under {request.objective}: {result.best.label}")
-    _write_metrics_if_requested(args)
     return 0
 
 
@@ -1115,10 +1051,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_mode=args.log_json)
     try:
-        return args.func(args)
+        code = args.func(args)
     except ValidationError as exc:
         logger.error("invalid request: %s", exc)
         return 2
+    path = getattr(args, "metrics_out", "")
+    if path:
+        write_metrics(path)
+        logger.info("telemetry metrics written to %s", path)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - direct invocation

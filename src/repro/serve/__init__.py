@@ -27,11 +27,10 @@ SIGUSR1; ``POST /v1/explain`` serves bit-exact plan-cost decompositions.
 Unified request API (PR 9): request bodies are the versioned, frozen
 dataclasses of :mod:`repro.api` (``SearchRequest``, ``SimulateRequest``,
 ``ExplainRequest``, ``RobustnessRequest``) — the CLI, this daemon and
-:class:`PlanClient` all validate and serialize through them.
-``SearchParams`` remains importable here as a deprecated alias of
-:class:`repro.api.SearchRequest` for one release. ``POST /v1/robustness``
-scores a searched plan's tail latency under a seeded fault model
-(:mod:`repro.sim.faults`).
+:class:`PlanClient` all validate and serialize through them, and
+:class:`PlanService` executes them through the same :mod:`repro.api`
+executors as the CLI.  ``POST /v1/robustness`` scores a searched plan's
+tail latency under a seeded fault model (:mod:`repro.sim.faults`).
 """
 
 from .admission import AdmissionController, AdmissionRejected
@@ -47,7 +46,7 @@ from .client import (
     SimulateResponse,
 )
 from .server import TRACE_HEADER, PlanServer, ServeConfig
-from .service import PlanService, RequestError, SearchParams
+from .service import PlanService
 from .singleflight import SingleFlight
 from .store import PlanStore, default_store, reset_default_store
 
@@ -59,10 +58,8 @@ __all__ = [
     "PlanServer",
     "PlanService",
     "PlanStore",
-    "RequestError",
     "RobustnessRequest",
     "RobustnessResponse",
-    "SearchParams",
     "SearchRequest",
     "SearchResponse",
     "ServeConfig",

@@ -4,9 +4,9 @@
 ``ThreadingHTTPServer`` — one thread per connection, shared plan store,
 single-flight coalescing and admission control behind it.  Endpoints:
 
-* ``POST /v1/search``   — body: :class:`~repro.serve.service.SearchParams`
-  fields (+ optional ``deadline`` seconds); returns the plan payload with
-  ``key`` and ``source``.
+* ``POST /v1/search``   — body: :class:`~repro.api.SearchRequest` fields
+  (+ optional ``deadline`` seconds); returns the plan payload with ``key``
+  and ``source``.
 * ``POST /v1/simulate`` — search body + ``engine`` (``analytic``/``event``)
   and ``layers``; returns latency/throughput/memory/breakdown.
 * ``POST /v1/explain``  — search body + ``links`` flag; returns the plan's
@@ -62,6 +62,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..api import (
+    ExplainRequest,
+    RobustnessRequest,
+    SearchRequest,
+    SimulateRequest,
+    ValidationError,
+)
 from ..core.optimizer.deadline import SearchDeadlineExceeded
 from ..obs.flight import FlightRecorder
 from ..obs.logsetup import get_logger
@@ -76,7 +83,7 @@ from ..obs.reqtrace import (
     valid_trace_id,
 )
 from .admission import AdmissionController, AdmissionRejected
-from .service import PlanService, RequestError
+from .service import PlanService, resolve_deadline
 from .store import PlanStore, default_store
 
 logger = get_logger("serve.server")
@@ -110,6 +117,14 @@ METRIC_HELP = {
     "serve.latency_ms":
         "Rolling-window HTTP latency quantiles (ms) by endpoint.",
     "plan_store.lookups": "Plan-store lookups by tier (memory/disk/miss).",
+}
+
+#: ``POST`` endpoints: path -> (request type, :class:`PlanService` method).
+POST_ROUTES = {
+    "/v1/search": (SearchRequest, "search"),
+    "/v1/simulate": (SimulateRequest, "simulate"),
+    "/v1/explain": (ExplainRequest, "explain"),
+    "/v1/robustness": (RobustnessRequest, "robustness"),
 }
 
 
@@ -449,16 +464,16 @@ def _make_handler(server: PlanServer):
         def _read_body(self) -> Dict[str, Any]:
             length = int(self.headers.get("Content-Length") or 0)
             if length > MAX_BODY_BYTES:
-                raise RequestError(
+                raise ValidationError(
                     f"request body too large ({length} > {MAX_BODY_BYTES})"
                 )
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw or b"{}")
             except ValueError as exc:
-                raise RequestError(f"invalid JSON body: {exc}") from exc
+                raise ValidationError(f"invalid JSON body: {exc}") from exc
             if not isinstance(body, dict):
-                raise RequestError("request body must be a JSON object")
+                raise ValidationError("request body must be a JSON object")
             return body
 
         # -- dispatch --------------------------------------------------
@@ -588,9 +603,7 @@ def _make_handler(server: PlanServer):
                         payload = self._attach_debug_trace(payload, trace, 200)
                 self._send_json(200, payload)
                 return "/v1/plans", 200
-            if method == "POST" and path in (
-                "/v1/search", "/v1/simulate", "/v1/explain", "/v1/robustness"
-            ):
+            if method == "POST" and path in POST_ROUTES:
                 return path, self._execute(path)
             self._send_json(
                 404, {"error": f"no route for {method} {self.path}"}
@@ -605,16 +618,13 @@ def _make_handler(server: PlanServer):
                 )
                 return 503
             try:
-                body = self._read_body()
-                if path == "/v1/search":
-                    payload = server.service.search_from_request(body)
-                elif path == "/v1/explain":
-                    payload = server.service.explain_from_request(body)
-                elif path == "/v1/robustness":
-                    payload = server.service.robustness_from_request(body)
-                else:
-                    payload = server.service.simulate_from_request(body)
-            except RequestError as exc:
+                kind, method = POST_ROUTES[path]
+                request = kind.from_json(self._read_body())
+                deadline = resolve_deadline(
+                    request, server.service.default_deadline
+                )
+                payload = getattr(server.service, method)(request, deadline)
+            except ValidationError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return 400
             except AdmissionRejected as exc:

@@ -5,18 +5,20 @@ layer (:mod:`repro.serve.server`) and in-process tests drive the same
 object.  One search request flows through:
 
 1. **validation** — :meth:`repro.api.SearchRequest.from_json` rejects
-   malformed bodies with :class:`repro.api.ValidationError` (HTTP 400;
-   ``RequestError`` is the same class, and ``SearchParams`` survives as a
-   deprecated alias of :class:`~repro.api.SearchRequest`);
+   malformed bodies with :class:`repro.api.ValidationError` (HTTP 400);
 2. **plan store** — the content-hashed key is answered from the in-memory
    LRU or the disk cache without any computation;
 3. **coalescing** — concurrent identical misses collapse onto one search
    via :class:`~repro.serve.singleflight.SingleFlight`;
 4. **admission** — the single leader takes an execution slot (or is
    rejected 429/503 with ``Retry-After``);
-5. **search** — a fresh :class:`~repro.PrimeParOptimizer` runs under the
-   request's cooperative :class:`~repro.core.optimizer.deadline.Deadline`;
-   the JSON-shaped payload is written through both store tiers.
+5. **search** — :func:`repro.api.run_search` runs under the request's
+   cooperative :class:`~repro.core.optimizer.deadline.Deadline`; the
+   JSON-shaped payload is written through both store tiers.
+
+Simulate, explain and robustness requests resolve their plan through the
+same search path, then run the matching :mod:`repro.api` executor once per
+content key — coalesced and admitted exactly like a search.
 
 Payloads are plain dicts of spec strings and floats, so responses are
 bit-identical to a direct ``PrimeParOptimizer`` run of the same
@@ -31,22 +33,18 @@ from typing import Any, Dict, Mapping, Optional
 
 from .. import cache as diskcache
 from ..api import (
-    MAX_DEVICES,
     ExplainRequest,
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
-    ValidationError,
-    deprecated_alias,
-    plan_from_json,
+    plan_to_json,
+    run_explain,
+    run_robustness,
+    run_search,
+    run_simulate,
 )
-from ..cluster.profiler import FabricProfiler
-from ..cluster.topology import v100_cluster
 from ..core.optimizer.deadline import Deadline, SearchDeadlineExceeded
-from ..core.optimizer.strategy import PrimeParOptimizer
-from ..core.spec import PartitionSpec
 from ..graph.models import MODELS_BY_KEY
-from ..graph.transformer import build_block_graph
 from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
 from ..obs.reqtrace import current_trace, trace_event
@@ -62,34 +60,18 @@ logger = get_logger("serve.service")
 #: schema's front door).
 SERVE_SCHEMA = 1
 
-#: A malformed request body (HTTP 400).  Kept as a name for back-compat;
-#: this *is* :class:`repro.api.ValidationError`, so handlers written
-#: against either name catch the same exceptions.
-RequestError = ValidationError
+#: Plan-derived request kinds: content-key namespace -> executions counter.
+DERIVED_KINDS = {
+    "simrequest": "serve.simulations",
+    "explainrequest": "serve.explains",
+    "robustness": "serve.robustness",
+}
 
 
-class SearchParams(SearchRequest):
-    """Deprecated alias of :class:`repro.api.SearchRequest`.
-
-    Kept for one release so existing callers keep working; every use of
-    :meth:`from_request` warns.  New code should call
-    :meth:`repro.api.SearchRequest.from_json`.
-    """
-
-    @classmethod
-    def from_request(cls, body: Mapping[str, Any]) -> "SearchParams":
-        deprecated_alias(
-            "repro.serve.SearchParams.from_request",
-            "repro.api.SearchRequest.from_json",
-        )
-        return cls.from_json(body)
-
-
-def _resolve_deadline(
-    requested: float, default: Optional[float]
-) -> Optional[float]:
+def resolve_deadline(request, default: Optional[float]) -> Optional[float]:
     """Per-request deadline: the request's ``deadline`` capped by the
     server default (a request may tighten the budget, never extend it)."""
+    requested = getattr(request, "search", request).deadline
     if requested == 0:
         return default
     if default is not None:
@@ -99,6 +81,10 @@ def _resolve_deadline(
 
 class PlanService:
     """Transport-free request execution over a shared plan store.
+
+    Every public method takes a validated :mod:`repro.api` request and an
+    optional deadline in seconds (``None`` = unbounded; see
+    :func:`resolve_deadline` for the server's cap).
 
     Args:
         store: Plan store shared across requests (``None`` → the
@@ -121,20 +107,11 @@ class PlanService:
         self.jobs = jobs
         self.default_deadline = default_deadline
         self._searches = SingleFlight()
-        self._simulations = SingleFlight()
-        self._explains = SingleFlight()
-        self._robustness = SingleFlight()
+        self._flights = {kind: SingleFlight() for kind in DERIVED_KINDS}
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-
-    def search_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/search`` body and execute it."""
-        params = SearchRequest.from_json(body)
-        return self.search(
-            params, _resolve_deadline(params.deadline, self.default_deadline)
-        )
 
     def search(
         self, params: SearchRequest, deadline_s: Optional[float] = None
@@ -182,21 +159,9 @@ class PlanService:
     def _run_search(
         self, params: SearchRequest, deadline: Optional[Deadline]
     ) -> Dict[str, Any]:
-        model = MODELS_BY_KEY[params.model]
-        profiler = FabricProfiler(v100_cluster(params.devices))
-        graph = build_block_graph(model.block_shape(batch=params.batch))
-        optimizer = PrimeParOptimizer(
-            profiler,
-            alpha=params.alpha,
-            include_temporal=params.include_temporal,
-            beam=params.beam or None,
-            jobs=self.jobs,
-        )
         started = time.perf_counter()
         try:
-            result = optimizer.optimize(
-                graph, n_layers=model.n_layers, deadline=deadline
-            )
+            result = run_search(params, jobs=self.jobs, deadline=deadline)
         except SearchDeadlineExceeded:
             counter("serve.rejected", reason="deadline").inc()
             raise
@@ -215,10 +180,8 @@ class PlanService:
             "alpha": params.alpha,
             "beam": params.beam,
             "include_temporal": params.include_temporal,
-            "n_layers": model.n_layers,
-            "plan": {
-                name: str(spec) for name, spec in sorted(result.plan.items())
-            },
+            "n_layers": MODELS_BY_KEY[params.model].n_layers,
+            "plan": plan_to_json(result.plan),
             "cost": result.cost,
             "model_cost": result.model_cost,
             "elapsed": result.elapsed,
@@ -243,52 +206,35 @@ class PlanService:
         return {**value, "key": key, "source": tier}
 
     # ------------------------------------------------------------------
-    # simulate
+    # plan-derived requests: simulate, explain, robustness
     # ------------------------------------------------------------------
 
-    def simulate_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/simulate`` body and execute it."""
-        request = SimulateRequest.from_json(body)
-        return self.simulate(
-            request.search,
-            request.engine,
-            request.layers,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
-        )
-
-    def simulate(
+    def _derived(
         self,
+        kind: str,
         params: SearchRequest,
-        engine: str = "analytic",
-        layers: int = 0,
-        deadline_s: Optional[float] = None,
+        deadline_s: Optional[float],
+        run,
+        *key_parts: Any,
     ) -> Dict[str, Any]:
-        """Replay the plan for ``params`` on a simulator engine.
-
-        The plan is resolved through :meth:`search` first (so simulations
-        warm and reuse the plan store); the replay itself is coalesced
-        per ``(plan key, engine, layers)`` and admission-controlled like a
-        search.  Simulation reports are additionally disk-cached by
-        :mod:`repro.sim.simcache` underneath ``run_model``.
-        """
+        """Resolve the plan for ``params`` through :meth:`search` (warming
+        and reusing the plan store), then compute ``run(plan_payload)``
+        once per ``(kind, plan key, *key_parts)`` content key — coalesced
+        and admission-controlled like a search."""
         plan_payload = self.search(params, deadline_s)
-        model = MODELS_BY_KEY[params.model]
-        n_layers = layers or model.n_layers
-        sim_key = diskcache.content_key(
-            "simrequest", SERVE_SCHEMA, plan_payload["key"], engine, n_layers
+        key = diskcache.content_key(
+            kind, SERVE_SCHEMA, plan_payload["key"], *key_parts
         )
         deadline = Deadline(deadline_s) if deadline_s else None
 
         def compute() -> Dict[str, Any]:
             timeout = deadline.remaining() if deadline else None
             with self.admission.admit(timeout=timeout):
-                counter("serve.simulations").inc()
-                return self._run_simulation(
-                    params, plan_payload, engine, n_layers
-                )
+                counter(DERIVED_KINDS[kind]).inc()
+                return run(plan_payload)
 
-        value, leader = self._simulations.run(
-            sim_key, compute, timeout=deadline.remaining() if deadline else None
+        value, leader = self._flights[kind].run(
+            key, compute, timeout=deadline.remaining() if deadline else None
         )
         return {
             **value,
@@ -297,229 +243,91 @@ class PlanService:
             "source": "computed" if leader else "coalesced",
         }
 
-    # ------------------------------------------------------------------
-    # explain
-    # ------------------------------------------------------------------
+    def simulate(
+        self, request: SimulateRequest, deadline_s: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Replay the plan for ``request.search`` on a simulator engine.
 
-    def explain_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/explain`` body and execute it."""
-        request = ExplainRequest.from_json(body)
-        return self.explain(
-            request.search,
-            request.links,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
+        Coalesced per ``(plan key, engine, layers)``; simulation reports
+        are additionally disk-cached by :mod:`repro.sim.simcache`
+        underneath ``run_model``.
+        """
+        search = request.search
+
+        def run(plan_payload: Mapping[str, Any]) -> Dict[str, Any]:
+            report = run_simulate(request, plan_payload["plan"])
+            return {
+                "model": search.model,
+                "devices": search.devices,
+                "batch": search.batch,
+                "engine": request.engine,
+                "layers": request.n_layers,
+                "latency": report.latency,
+                "throughput": report.throughput,
+                "peak_memory_bytes": report.peak_memory_bytes,
+                "breakdown": {
+                    kind: seconds
+                    for kind, seconds in sorted(report.breakdown.items())
+                },
+            }
+
+        return self._derived(
+            "simrequest", search, deadline_s, run,
+            request.engine, request.n_layers,
         )
 
     def explain(
-        self,
-        params: SearchRequest,
-        links: bool = False,
-        deadline_s: Optional[float] = None,
+        self, request: ExplainRequest, deadline_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Cost decomposition of the plan for ``params``.
+        """Cost decomposition of the plan for ``request.search``.
 
-        The plan is resolved through :meth:`search` first (warming and
-        reusing the plan store); the decomposition itself is coalesced per
-        ``(plan key, links)`` and admission-controlled, since the
-        ``links`` variant replays a layer through the event engine.  The
-        document's ``components`` fold equals its ``total_cost``
-        bit-exactly (the plan re-priced through ``OverallCostModel``);
-        the search payload's ``cost`` is echoed as ``plan_cost`` — the
-        DP's own incremental fold, which may differ from re-pricing in
-        the last ulp.
+        Coalesced per ``(plan key, links)``, since the ``links`` variant
+        replays a layer through the event engine.  The document's
+        ``components`` fold equals its ``total_cost`` bit-exactly (the
+        plan re-priced through ``OverallCostModel``); the search payload's
+        ``cost`` is echoed as ``plan_cost`` — the DP's own incremental
+        fold, which may differ from re-pricing in the last ulp.
         """
-        plan_payload = self.search(params, deadline_s)
-        explain_key = diskcache.content_key(
-            "explainrequest", SERVE_SCHEMA, plan_payload["key"], links
-        )
-        deadline = Deadline(deadline_s) if deadline_s else None
 
-        def compute() -> Dict[str, Any]:
-            timeout = deadline.remaining() if deadline else None
-            with self.admission.admit(timeout=timeout):
-                counter("serve.explains").inc()
-                return self._run_explain(params, plan_payload, links)
+        def run(plan_payload: Mapping[str, Any]) -> Dict[str, Any]:
+            doc = run_explain(request, plan_payload["plan"])
+            return {**doc, "plan_cost": plan_payload["cost"]}
 
-        value, leader = self._explains.run(
-            explain_key,
-            compute,
-            timeout=deadline.remaining() if deadline else None,
-        )
-        return {
-            **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
-            "plan_cost": plan_payload["cost"],
-            "source": "computed" if leader else "coalesced",
-        }
-
-    # ------------------------------------------------------------------
-    # robustness
-    # ------------------------------------------------------------------
-
-    def robustness_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/robustness`` body and execute it."""
-        request = RobustnessRequest.from_json(body)
-        return self.robustness(
-            request,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
+        return self._derived(
+            "explainrequest", request.search, deadline_s, run, request.links
         )
 
     def robustness(
-        self,
-        request: RobustnessRequest,
-        deadline_s: Optional[float] = None,
+        self, request: RobustnessRequest, deadline_s: Optional[float] = None
     ) -> Dict[str, Any]:
         """Score the plan for ``request.search`` under a fault model.
 
-        The plan is resolved through :meth:`search` first (warming and
-        reusing the plan store); the Monte-Carlo evaluation itself is
-        coalesced per ``(plan key, fault model, scenarios, seed, layers)``
-        and admission-controlled like a search.  The returned ``report``
-        is a schema-versioned
+        Coalesced per ``(plan key, fault model, scenarios, seed, layers)``.
+        The returned ``report`` is a schema-versioned
         :class:`~repro.sim.faults.RobustnessReport` document; same seed +
         plan + fault spec reproduces it bit-identically regardless of the
         service's ``jobs`` fan-out.
         """
-        from ..sim.faults import FaultModel
-
-        if isinstance(request.faults, str):
-            fault_model = FaultModel.from_spec(request.faults)
-        else:
-            fault_model = FaultModel.from_json(request.faults)
-        plan_payload = self.search(request.search, deadline_s)
-        model = MODELS_BY_KEY[request.search.model]
-        n_layers = request.layers or model.n_layers
-        rob_key = diskcache.content_key(
-            "robustness",
-            SERVE_SCHEMA,
-            plan_payload["key"],
-            fault_model.canonical(),
-            request.scenarios,
-            request.seed,
-            n_layers,
-        )
-        deadline = Deadline(deadline_s) if deadline_s else None
-
-        def compute() -> Dict[str, Any]:
-            timeout = deadline.remaining() if deadline else None
-            with self.admission.admit(timeout=timeout):
-                counter("serve.robustness").inc()
-                return self._run_robustness(
-                    request, plan_payload, fault_model, n_layers
-                )
-
-        value, leader = self._robustness.run(
-            rob_key, compute, timeout=deadline.remaining() if deadline else None
-        )
-        return {
-            **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
-            "source": "computed" if leader else "coalesced",
-        }
-
-    def _run_robustness(
-        self,
-        request: RobustnessRequest,
-        plan_payload: Mapping[str, Any],
-        fault_model,
-        n_layers: int,
-    ) -> Dict[str, Any]:
-        from ..sim.faults import evaluate_robustness
-
+        fault_model = request.fault_model()  # a bad spec fails before search
         search = request.search
-        topology = v100_cluster(search.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[search.model]
-        graph = build_block_graph(model.block_shape(batch=search.batch))
-        plan = plan_from_json(plan_payload["plan"], topology.n_bits)
-        report = evaluate_robustness(
-            profiler,
-            graph,
-            plan,
-            search.batch,
-            n_layers,
-            fault_model,
-            scenarios=request.scenarios,
-            seed=request.seed,
-            jobs=self.jobs,
+
+        def run(plan_payload: Mapping[str, Any]) -> Dict[str, Any]:
+            report = run_robustness(
+                request, plan_payload["plan"], jobs=self.jobs
+            )
+            return {
+                "model": search.model,
+                "devices": search.devices,
+                "batch": search.batch,
+                "layers": request.n_layers,
+                "objective": request.objective,
+                "blend": request.blend,
+                "score": report.score(request.objective, request.blend),
+                "report": report.to_json(),
+            }
+
+        return self._derived(
+            "robustness", search, deadline_s, run,
+            fault_model.canonical(), request.scenarios, request.seed,
+            request.n_layers,
         )
-        return {
-            "model": search.model,
-            "devices": search.devices,
-            "batch": search.batch,
-            "layers": n_layers,
-            "objective": request.objective,
-            "blend": request.blend,
-            "score": report.score(request.objective, request.blend),
-            "report": report.to_json(),
-        }
-
-    def _run_explain(
-        self,
-        params: SearchRequest,
-        plan_payload: Mapping[str, Any],
-        links: bool,
-    ) -> Dict[str, Any]:
-        from ..core.explain import explain_plan
-
-        topology = v100_cluster(params.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[params.model]
-        graph = build_block_graph(model.block_shape(batch=params.batch))
-        plan = plan_from_json(plan_payload["plan"], topology.n_bits)
-        return explain_plan(
-            profiler,
-            graph,
-            plan,
-            alpha=params.alpha,
-            include_links=links,
-            global_batch=params.batch,
-        )
-
-    def _run_simulation(
-        self,
-        params: SearchParams,
-        plan_payload: Mapping[str, Any],
-        engine: str,
-        n_layers: int,
-    ) -> Dict[str, Any]:
-        from ..sim.engine import EventDrivenSimulator
-        from ..sim.executor import TrainingSimulator
-
-        topology = v100_cluster(params.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[params.model]
-        graph = build_block_graph(model.block_shape(batch=params.batch))
-        plan = {
-            name: _spec_from_string(text, topology.n_bits)
-            for name, text in plan_payload["plan"].items()
-        }
-        simulator = (
-            EventDrivenSimulator(profiler)
-            if engine == "event"
-            else TrainingSimulator(profiler)
-        )
-        report = simulator.run_model(graph, plan, params.batch, n_layers)
-        return {
-            "model": params.model,
-            "devices": params.devices,
-            "batch": params.batch,
-            "engine": engine,
-            "layers": n_layers,
-            "latency": report.latency,
-            "throughput": report.throughput,
-            "peak_memory_bytes": report.peak_memory_bytes,
-            "breakdown": {
-                kind: seconds
-                for kind, seconds in sorted(report.breakdown.items())
-            },
-        }
-
-
-def _spec_from_string(text: str, n_bits: int) -> PartitionSpec:
-    """Rehydrate a payload's spec string (``str(spec)`` round-trip)."""
-    if text == "(replicated)":
-        return PartitionSpec((), n_bits)
-    return PartitionSpec.from_string(text, n_bits)

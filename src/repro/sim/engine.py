@@ -63,6 +63,7 @@ frozen copy of the original implementation):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -492,7 +493,9 @@ class KernelGraph:
         and its completion re-timed — the re-timed finish ``now + rem/rate``
         is what the original engine emitted even for flows whose rate did
         not change — but the fair-share minimisation itself runs only for
-        flows on links whose occupancy changed.
+        flows on links whose occupancy changed.  A flow whose rate is zero
+        (a link stalled by a fault) parks its completion at ``inf`` until a
+        later flush re-times it.
         """
         if not self._dirty:
             return False
@@ -517,8 +520,9 @@ class KernelGraph:
                 flow.rate = rate
                 self.rate_recomputes += 1
             else:
+                rate = flow.rate
                 self.rate_reuses += 1
-            when = now + flow.remaining / flow.rate
+            when = now + flow.remaining / rate if rate > 0.0 else math.inf
             if flow.slot is None:
                 flow.slot = engine.schedule(
                     when, lambda f=flow: self._flow_fired(f)

@@ -45,7 +45,6 @@ replay whenever a flap makes the schedule time-varying.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -585,8 +584,12 @@ class FaultyKernelGraph(KernelGraph):
       ``1 / factor`` (see ``LINK_KINDS``).
     * NIC flaps schedule capacity-change events: while active, the pool
       runs at ``reroute_factor`` of (possibly already degraded) capacity;
-      at factor ``0`` in-flight flows stall (completion parked at ``inf``)
-      until the restore event re-times them.
+      at factor ``0`` in-flight flows stall (the base flush parks their
+      completion at ``inf``) until the restore event re-times them.  The
+      flap writes the modulated capacity onto the shared link and restores
+      the nominal one when it ends, so the base contention solver needs no
+      fault hook and ``link_stats()`` reports nominal capacity after the
+      run.
 
     With an empty scenario every path below is a bit-exact pass-through of
     the base class — asserted against the frozen legacy engine by the
@@ -613,6 +616,8 @@ class FaultyKernelGraph(KernelGraph):
                     self._link_stretch[device] = 1.0 / factor
         #: Active flap factors per link key (a list: flaps may overlap).
         self._flap_active: Dict[str, List[float]] = {}
+        #: Unflapped (possibly degraded) capacity per created link key.
+        self._nominal: Dict[str, float] = {}
         self._flaps = [
             (f"nic:node{f.node}", f) for f in scenario.nic_flaps
         ]
@@ -635,10 +640,15 @@ class FaultyKernelGraph(KernelGraph):
         return super().add(name, **kwargs)
 
     def _link(self, key: str, capacity: float) -> _SharedLink:
-        factor = self._degraded.get(key)
-        if factor is not None and key not in self._links:
-            capacity = capacity * factor
-        return super()._link(key, capacity)
+        link = self._links.get(key)
+        if link is None:
+            factor = self._degraded.get(key)
+            if factor is not None:
+                capacity = capacity * factor
+            self._nominal[key] = capacity
+            link = super()._link(key, capacity)
+            self._apply_flaps(key, link)
+        return link
 
     # -- execution overrides -------------------------------------------
 
@@ -661,62 +671,15 @@ class FaultyKernelGraph(KernelGraph):
             active.remove(flap.reroute_factor)
         link = self._links.get(key)
         if link is not None:
+            self._apply_flaps(key, link)
             self._dirty_links[key] = link
             self._dirty = True
 
-    def _capacity(self, resource: _SharedLink) -> float:
-        active = self._flap_active.get(resource.key)
-        if not active:
-            return resource.capacity
-        return resource.capacity * min(active)
-
-    def _flush_contention(self) -> bool:
-        """The base flush, with flap-aware capacity and stall handling.
-
-        Identical to :meth:`KernelGraph._flush_contention` except that the
-        fair-share solve reads :meth:`_capacity` (so active flaps modulate
-        the pool) and a zero rate parks the completion at ``inf`` — always
-        superseded, because the flap's restore event is already scheduled
-        and re-times every affected flow.
-        """
-        if not self._dirty:
-            return False
-        self._dirty = False
-        now = self.engine.now
-        affected = self._pending_rates
-        for link in self._dirty_links.values():
-            for fid in link.flows:
-                affected[fid] = None
-        self._dirty_links = {}
-        self._pending_rates = {}
-        engine = self.engine
-        for fid, flow in self._active.items():
-            flow.remaining = max(
-                flow.remaining - flow.rate * (now - flow.last_update), 0.0
-            )
-            flow.last_update = now
-            if fid in affected:
-                rate = flow.peak_rate
-                for resource in flow.resources:
-                    rate = min(
-                        rate, self._capacity(resource) / len(resource.flows)
-                    )
-                flow.rate = rate
-                self.rate_recomputes += 1
-            else:
-                self.rate_reuses += 1
-            if flow.rate <= 0.0:
-                when = math.inf
-            else:
-                when = now + flow.remaining / flow.rate
-            if flow.slot is None:
-                flow.slot = engine.schedule(
-                    when, lambda f=flow: self._flow_fired(f)
-                )
-            else:
-                engine.reschedule(flow.slot, when)
-        self.flushes += 1
-        return True
+    def _apply_flaps(self, key: str, link: _SharedLink) -> None:
+        """Set ``link``'s capacity from its nominal value and active flaps."""
+        active = self._flap_active.get(key)
+        nominal = self._nominal[key]
+        link.capacity = nominal * min(active) if active else nominal
 
 
 # ----------------------------------------------------------------------

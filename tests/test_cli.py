@@ -144,3 +144,95 @@ class TestCommands:
         assert "sim.queue_pushes" in names
         assert "sim.contention_flushes" in names
         assert "sim.report_cache" in names
+
+
+#: The small setting every request-path CLI test runs at.
+SMALL = ["--model", "opt-6.7b", "--devices", "2", "--batch", "8"]
+
+
+class TestRequestCommands:
+    """``explain``, ``faults`` and ``simulate --faults`` end to end."""
+
+    def test_explain_json_matches_service_payload(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.api import ExplainRequest
+        from repro.serve import PlanService, PlanStore
+
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["explain", *SMALL, "--json", "--no-links"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        request = ExplainRequest.from_json(
+            {"model": "opt-6.7b", "devices": 2, "batch": 8, "links": False}
+        )
+        payload = PlanService(store=PlanStore(max_entries=4)).explain(request)
+        for served_only in ("plan_key", "plan_source", "plan_cost", "source"):
+            payload.pop(served_only)
+        assert doc == payload
+
+    def test_explain_json_writes_metrics(self, capsys, tmp_path):
+        metrics_path = tmp_path / "metrics.json"
+        code = main(
+            [
+                "explain", *SMALL, "--json", "--no-links",
+                "--metrics-out", str(metrics_path),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert "counters" in json.loads(metrics_path.read_text())
+
+    def test_faults_json_matches_robust_search(self, capsys):
+        from repro import FabricProfiler, build_block_graph, v100_cluster
+        from repro.graph.models import MODELS_BY_KEY
+        from repro.sim.faults import FaultModel, robust_search
+
+        spec = "straggler=0.5:1.8,outage=0.5"
+        code = main(
+            [
+                "faults", *SMALL, "--layers", "2", "--scenarios", "4",
+                "--faults", spec, "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        model = MODELS_BY_KEY["opt-6.7b"]
+        result = robust_search(
+            FabricProfiler(v100_cluster(2)),
+            build_block_graph(model.block_shape(batch=8)),
+            global_batch=8,
+            n_layers=model.n_layers,
+            fault_model=FaultModel.from_spec(spec),
+            scenarios=4,
+            sim_layers=2,
+            alpha=2e-11,
+        )
+        assert doc == json.loads(json.dumps(result.to_json()))
+
+    def test_simulate_faults_table_attribution_identity(self, capsys):
+        code = main(
+            [
+                "simulate", *SMALL, "--layers", "2",
+                "--faults", "straggler=1.0:1.8,outage=1.0",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fault scenario 0 (seed 0)" in out
+        ms = {}
+        for line in out.splitlines():
+            cells = [c.strip() for c in line.split("|") if c.strip()]
+            if len(cells) == 2 and cells[0] in (
+                "nominal", "compute delay", "link delay", "recovery delay",
+                "faulted",
+            ):
+                ms[cells[0]] = float(cells[1])
+        assert len(ms) == 5, out
+        assert ms["compute delay"] > 0 and ms["recovery delay"] > 0
+        # Each cell is rounded to the microsecond, so the sum of the four
+        # printed components may differ from the printed total by rounding.
+        components = (
+            ms["nominal"] + ms["compute delay"] + ms["link delay"]
+            + ms["recovery delay"]
+        )
+        assert abs(ms["faulted"] - components) <= 0.002

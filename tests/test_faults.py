@@ -164,12 +164,12 @@ class TestLinkSlowdownsNeverHelp:
             if scenario.degraded_links:
                 assert outcome.latency > nominal
 
-    def test_flap_stall_delays_completion(self):
-        """A hard NIC outage mid-iteration parks in-flight ring flows.
+    @staticmethod
+    def _cross_node_ring():
+        """A cross-node P2x2 ring (the golden suite's contended case).
 
         Flaps modulate fabric-flow capacity, so the plan must actually
-        push flows through the flapped NIC pool — a cross-node P2x2 ring
-        (the golden suite's contended case), not a collective-only plan.
+        push flows through the flapped NIC pool, not only collectives.
         """
         from repro.core.dims import Dim
         from repro.core.spec import PartitionSpec
@@ -190,6 +190,11 @@ class TestLinkSlowdownsNeverHelp:
         graph = ComputationGraph(nodes=[fc], edges=[])
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         profiler = FabricProfiler(v100_cluster(4, gpus_per_node=2))
+        return profiler, graph, plan
+
+    def test_flap_stall_delays_completion(self):
+        """A hard NIC outage mid-iteration parks in-flight ring flows."""
+        profiler, graph, plan = self._cross_node_ring()
         stock = EventDrivenSimulator(profiler, use_disk_cache=False)
         report = stock.run_model(graph, plan, 2, 1)
         assert report.breakdown.get("ring-exposed", 0.0) > 0
@@ -205,6 +210,39 @@ class TestLinkSlowdownsNeverHelp:
         )
         assert outcome.latency > nominal
         assert outcome.link_delay > 0.0
+
+    def test_flap_restores_nominal_link_capacity(self):
+        """A flap throttles the shared link only while it is active."""
+        from repro.sim.engine import KernelGraph
+
+        profiler, graph, plan = self._cross_node_ring()
+        built = {}
+
+        def recording(name, make):
+            def factory():
+                built[name] = make()
+                return built[name]
+            return factory
+
+        nominal = EventDrivenSimulator(
+            profiler, graph_factory=recording("stock", KernelGraph),
+            use_disk_cache=False,
+        ).run_model(graph, plan, 2, 1).latency
+        scenario = FaultScenario(
+            index=0, seed=0,
+            nic_flaps=(NicFlap(node=0, start=nominal * 0.25,
+                               duration=nominal * 0.5, reroute_factor=0.25),),
+        )
+        faulted = EventDrivenSimulator(
+            profiler,
+            graph_factory=recording(
+                "faulty", lambda: FaultyKernelGraph(scenario, profiler.topology)
+            ),
+            use_disk_cache=False,
+        ).run_model(graph, plan, 2, 1, force_replay=True).latency
+        assert faulted > nominal
+        stats = built["faulty"].link_stats()
+        assert stats and stats == built["stock"].link_stats()
 
 
 class TestDeterminism:

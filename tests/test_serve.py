@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import cache as diskcache
+from repro.api import ValidationError
 from repro.cache import MemoryLRU
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
@@ -34,8 +35,6 @@ from repro.serve import (
     PlanServer,
     PlanService,
     PlanStore,
-    RequestError,
-    SearchParams,
     SearchRequest,
     ServeConfig,
     ServeError,
@@ -92,7 +91,7 @@ def _gate_search(service):
     return entered, release
 
 
-def _direct_payload(params: SearchParams):
+def _direct_payload(params: SearchRequest):
     """What a direct ``PrimeParOptimizer`` run of ``params`` produces."""
     model = MODELS_BY_KEY[params.model]
     profiler = FabricProfiler(v100_cluster(params.devices))
@@ -352,13 +351,15 @@ class TestAdmission:
 
 
 class TestSearchParams:
+    """Validation and content keys of ``/v1/search`` bodies."""
+
     def test_defaults_and_batch_resolution(self):
-        params = SearchParams.from_request({})
+        params = SearchRequest.from_json({})
         assert params.model == MODEL
         assert params.devices == 8
         assert params.batch == 8  # max(8, min(8, 32))
-        assert SearchParams.from_request({"devices": 64}).batch == 32
-        assert SearchParams.from_request({"batch": 5}).batch == 5
+        assert SearchRequest.from_json({"devices": 64}).batch == 32
+        assert SearchRequest.from_json({"batch": 5}).batch == 5
 
     @pytest.mark.parametrize(
         "body",
@@ -377,13 +378,13 @@ class TestSearchParams:
         ],
     )
     def test_rejects_malformed_bodies(self, body):
-        with pytest.raises(RequestError):
-            SearchParams.from_request(body)
+        with pytest.raises(ValidationError):
+            SearchRequest.from_json(body)
 
     def test_cache_key_is_content_addressed(self):
-        a = SearchParams.from_request({"devices": 4})
-        b = SearchParams.from_request({"devices": 4})
-        c = SearchParams.from_request({"devices": 8})
+        a = SearchRequest.from_json({"devices": 4})
+        b = SearchRequest.from_json({"devices": 4})
+        c = SearchRequest.from_json({"devices": 8})
         assert a.cache_key() == b.cache_key()
         assert a.cache_key() != c.cache_key()
 
@@ -424,7 +425,7 @@ class TestPlanService:
     def test_search_matches_direct_optimizer_bit_for_bit(
         self, fresh_cache, registry
     ):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         payload = service.search(params)
         assert payload["source"] == "computed"
@@ -434,7 +435,7 @@ class TestPlanService:
         assert payload["n_layers"] == MODELS_BY_KEY[MODEL].n_layers
 
     def test_source_transitions_memory_then_disk(self, fresh_cache, registry):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         assert service.search(params)["source"] == "computed"
         assert service.search(params)["source"] == "memory"
@@ -443,7 +444,7 @@ class TestPlanService:
         assert counter("serve.searches").value == 1
 
     def test_plan_lookup(self, fresh_cache, registry):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         payload = service.search(params)
         found = service.plan(payload["key"])
@@ -484,7 +485,7 @@ class TestHTTPEndpoints:
         request = SearchRequest(model=MODEL, devices=2, batch=8)
         response = PlanClient(server.url).search(request)
         cost, plan = _direct_payload(
-            SearchParams.from_request(request.to_json())
+            SearchRequest.from_json(request.to_json())
         )
         assert response.cost == cost
         assert response.plan == plan
@@ -584,7 +585,7 @@ class TestServerBehavior:
         assert responses[0].plan == responses[1].plan
         assert responses[0].cost == responses[1].cost
         cost, plan = _direct_payload(
-            SearchParams.from_request(request.to_json())
+            SearchRequest.from_json(request.to_json())
         )
         assert responses[0].cost == cost
         assert responses[0].plan == plan
