@@ -434,11 +434,13 @@ def build_setting(request: SearchRequest) -> Tuple[Any, Any, Any]:
 
 
 def run_search(request: SearchRequest, *, jobs: int = 1, deadline=None,
-               setting=None):
+               setting=None, memo=None):
     """The plan search for ``request`` (a :class:`~repro.SearchResult`).
 
     ``deadline`` is an optional cooperative
-    :class:`~repro.core.optimizer.deadline.Deadline`.
+    :class:`~repro.core.optimizer.deadline.Deadline`; ``memo`` an optional
+    :class:`~repro.core.optimizer.memo.SearchMemo` whose alpha-free work
+    the search reuses and extends.
     """
     from .core.optimizer.strategy import PrimeParOptimizer
 
@@ -449,6 +451,7 @@ def run_search(request: SearchRequest, *, jobs: int = 1, deadline=None,
         include_temporal=request.include_temporal,
         beam=request.beam or None,
         jobs=jobs,
+        memo=memo,
     )
     return optimizer.optimize(
         graph, n_layers=model.n_layers, deadline=deadline

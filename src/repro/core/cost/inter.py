@@ -242,7 +242,7 @@ class InterOperatorCostModel:
     # latency
     # ------------------------------------------------------------------
 
-    def _predict(
+    def predict(
         self, intra_elems: np.ndarray, inter_elems: np.ndarray, n_dev: int
     ) -> np.ndarray:
         """Latency matrices from per-class traffic element matrices.
@@ -273,6 +273,27 @@ class InterOperatorCostModel:
         )
         return latency
 
+    def traffic_matrices(
+        self,
+        edge: Edge,
+        prod_op: OperatorSpec,
+        prod_boundaries: Sequence[NodeBoundary],
+        cons_op: OperatorSpec,
+        cons_boundaries: Sequence[NodeBoundary],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 9 forward + backward traffic ``(intra, inter)`` in elements.
+
+        A function of the two operators, the edge, the boundary layouts and
+        ``gpus_per_node`` only — never of alpha or the fitted latencies.
+        """
+        fwd_intra, fwd_inter = self.forward_traffic_matrix(
+            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
+        )
+        bwd_intra, bwd_inter = self.backward_traffic_matrix(
+            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
+        )
+        return fwd_intra + bwd_intra, fwd_inter + bwd_inter
+
     def cost_matrix(
         self,
         edge: Edge,
@@ -283,14 +304,11 @@ class InterOperatorCostModel:
     ) -> np.ndarray:
         """``interC`` over all candidate pairs, shape (n_prod, n_cons)."""
         n_dev = prod_boundaries[0].spec.n_devices
-        fwd_intra, fwd_inter = self.forward_traffic_matrix(
-            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
-        )
-        bwd_intra, bwd_inter = self.backward_traffic_matrix(
-            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
-        )
-        return self._predict(
-            fwd_intra + bwd_intra, fwd_inter + bwd_inter, n_dev
+        return self.predict(
+            *self.traffic_matrices(
+                edge, prod_op, prod_boundaries, cons_op, cons_boundaries
+            ),
+            n_dev,
         )
 
     def cost(
@@ -334,6 +352,6 @@ class InterOperatorCostModel:
         bwd_intra, bwd_inter = self.backward_traffic_matrix(
             edge, prod_op, prod_b, cons_op, cons_b
         )
-        fwd = float(self._predict(fwd_intra, fwd_inter, n_dev)[0, 0])
-        bwd = float(self._predict(bwd_intra, bwd_inter, n_dev)[0, 0])
+        fwd = float(self.predict(fwd_intra, fwd_inter, n_dev)[0, 0])
+        bwd = float(self.predict(bwd_intra, bwd_inter, n_dev)[0, 0])
         return fwd, bwd

@@ -21,6 +21,7 @@ Conventions (matching Alg. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .device import DeviceId, square_coordinates
@@ -80,7 +81,6 @@ class DsiEvaluator:
         for slot in self._temporal_slots:
             self.total_steps *= slot.step.temporal_steps
         self._slice_counts = self._compute_slice_counts()
-        self._bit_deps = self._compute_bit_dependencies()
 
     # ------------------------------------------------------------------
     # structure queries
@@ -255,7 +255,9 @@ class DsiEvaluator:
     # symbolic dependency analysis (for group indicators, paper Sec. 4.1)
     # ------------------------------------------------------------------
 
-    def _compute_bit_dependencies(self) -> Dict[Tuple[Phase, Dim], Set[int]]:
+    @cached_property
+    def _bit_deps(self) -> Dict[Tuple[Phase, Dim], Set[int]]:
+        """Per (phase, dim) bit positions, derived on first use."""
         deps: Dict[Tuple[Phase, Dim], Set[int]] = {
             (phase, dim): set() for phase in ALL_PHASES for dim in ALL_DIMS
         }

@@ -10,14 +10,15 @@ the cost of an extended edge from the segment start if one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ...graph.graph import ComputationGraph, Edge
 from ...obs.metrics import counter, histogram
 from ..cost.inter import InterOperatorCostModel
-from .candidates import CandidateSet
+from .candidates import CandidateSet, type_key
+from .memo import SearchMemo
 from .segmenter import Segment
 
 #: Bucket bounds for the DP table-size histogram (cells per table).
@@ -86,9 +87,9 @@ class SegmentTable:
 def edge_signature(edge: Edge) -> Tuple:
     """Structural identity of an edge, independent of its node names.
 
-    Two edges with equal signatures between candidate sets of equal
-    ``cache_token`` produce identical cost matrices (stacked transformer
-    layers, repeated ``(src, dst)`` operator-type pairs).
+    Two edges with equal signatures between operators of equal type keys
+    and candidate sets of equal ``class_token`` carry identical traffic
+    (stacked transformer layers, repeated ``(src, dst)`` type pairs).
     """
     return (
         edge.slot,
@@ -108,32 +109,43 @@ def edge_cost_matrix(
     candidates: Mapping[str, CandidateSet],
     src: str,
     dst: str,
-    memo: Optional[MutableMapping[Tuple, np.ndarray]] = None,
+    memo: Optional[SearchMemo] = None,
 ) -> Optional[np.ndarray]:
     """Summed inter-operator cost over all edges ``src -> dst``.
 
     Returns ``None`` when no such edge exists (cost contribution zero).
-    With ``memo``, each per-edge matrix is computed once per (edge
-    signature, producer/consumer candidate identity) and reused — across
-    stacked layers within one search and across searches sharing the memo.
+    With ``memo``, each edge's Eq. 8-9 traffic is computed once per (edge
+    signature, both operators' type keys, ``gpus_per_node``, both sets'
+    class tokens) and reused — across stacked layers within one search and
+    across searches sharing the memo; only the fitted latency model
+    (:meth:`~repro.core.cost.inter.InterOperatorCostModel.predict`) runs
+    per search.
     """
     edges = [e for e in graph.edges if e.src == src and e.dst == dst]
     if not edges:
         return None
     src_set = candidates[src]
     dst_set = candidates[dst]
+    n_dev = src_set.specs[0].n_devices
     total = np.zeros((len(src_set), len(dst_set)))
     for edge in edges:
-        matrix = None
+        matrices = None
         key = None
         if memo is not None:
-            key = (edge_signature(edge), src_set.cache_token, dst_set.cache_token)
-            matrix = memo.get(key)
+            key = (
+                edge_signature(edge),
+                type_key(src_set.op),
+                type_key(dst_set.op),
+                inter_model.profiler.topology.gpus_per_node,
+                src_set.class_token,
+                dst_set.class_token,
+            )
+            matrices = memo.traffic.get(key)
             counter(
-                "dp.edge_memo", outcome="hit" if matrix is not None else "miss"
+                "dp.edge_memo", outcome="hit" if matrices is not None else "miss"
             ).inc()
-        if matrix is None:
-            matrix = inter_model.cost_matrix(
+        if matrices is None:
+            matrices = inter_model.traffic_matrices(
                 edge,
                 src_set.op,
                 src_set.boundaries,
@@ -141,8 +153,8 @@ def edge_cost_matrix(
                 dst_set.boundaries,
             )
             if memo is not None:
-                memo[key] = matrix
-        total += matrix
+                memo.traffic.put(key, matrices)
+        total += inter_model.predict(*matrices, n_dev)
     return total
 
 
@@ -151,7 +163,7 @@ def solve_segment(
     segment: Segment,
     candidates: Mapping[str, CandidateSet],
     inter_model: InterOperatorCostModel,
-    edge_memo: Optional[MutableMapping[Tuple, np.ndarray]] = None,
+    memo: Optional[SearchMemo] = None,
 ) -> SegmentTable:
     """Run Eq. 11-12 over one segment, producing its optimal sub-structure."""
     names = segment.node_names
@@ -172,7 +184,7 @@ def solve_segment(
     for name in names[1:]:
         node_set = candidates[name]
         edge_prev = edge_cost_matrix(
-            graph, inter_model, candidates, previous, name, memo=edge_memo
+            graph, inter_model, candidates, previous, name, memo=memo
         )
         if edge_prev is None:
             # Assumption 1 guarantees e_{j, j+1} exists for true chains; a
@@ -183,7 +195,7 @@ def solve_segment(
         new_cost += node_set.intra[None, :]
         if previous != start:
             edge_start = edge_cost_matrix(
-                graph, inter_model, candidates, start, name, memo=edge_memo
+                graph, inter_model, candidates, start, name, memo=memo
             )
             if edge_start is not None:
                 new_cost += edge_start  # Eq. 12's e_{i, j+1}

@@ -29,7 +29,7 @@ from ...obs.logsetup import get_logger
 from ...obs.metrics import MetricsRegistry, get_registry, use_registry
 from ...obs.spans import SpanCollector, get_collector, span, use_collector
 from ..cost.intra import IntraOperatorCostModel
-from .candidates import CandidateSet, build_candidates
+from .candidates import OperatorSpace, build_space
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -133,33 +133,22 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     )
 
 
-def build_candidates_task(
-    payload: Tuple,
-) -> CandidateSet:
-    """Worker: build one operator type's candidate set.
+def build_space_task(payload: Tuple) -> OperatorSpace:
+    """Worker: build one operator type's alpha-free space.
 
-    Payload: ``(op, n_bits, profiler, alpha, memory_model, include_temporal,
-    partition_batch, beam)`` — the intra model is rebuilt in the worker so a
+    Payload: ``(op, n_bits, profiler, memory_model, include_temporal,
+    partition_batch)`` — the intra model is rebuilt in the worker so a
     fresh (empty) per-process cache never skews results.
     """
-    (
-        op,
-        n_bits,
-        profiler,
-        alpha,
-        memory_model,
-        include_temporal,
-        partition_batch,
-        beam,
-    ) = payload
-    intra_model = IntraOperatorCostModel(
-        profiler, alpha=alpha, memory_model=memory_model
+    op, n_bits, profiler, memory_model, include_temporal, partition_batch = (
+        payload
     )
-    return build_candidates(
+    intra_model = IntraOperatorCostModel(profiler, memory_model=memory_model)
+    space, _ = build_space(
         op,
         n_bits,
         intra_model,
         include_temporal=include_temporal,
         partition_batch=partition_batch,
-        beam=beam,
     )
+    return space

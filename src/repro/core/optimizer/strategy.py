@@ -26,11 +26,12 @@ from ..cost.inter import InterOperatorCostModel
 from ..cost.intra import IntraOperatorCostModel
 from ..cost.memory import MemoryCostModel
 from ..spec import PartitionSpec
-from .candidates import CandidateSet, build_candidates, type_key
+from .candidates import CandidateSet, build_candidates, space_key, type_key
 from .deadline import Deadline, check_deadline
 from .dp import SegmentTable, edge_cost_matrix, solve_segment
+from .memo import SearchMemo
 from .merge import MergeTable, merge_tables, stack_layers
-from .parallel import build_candidates_task, parallel_map, resolve_jobs
+from .parallel import build_space_task, parallel_map, resolve_jobs
 from .segmenter import segment_graph
 
 
@@ -127,6 +128,9 @@ class PrimeParOptimizer:
             (:mod:`repro.cache`) so repeated invocations start warm.  Only
             active for noise-free profilers (noisy "measurements" depend on
             RNG draw order and must not be reused across runs).
+        memo: Alpha-free work (operator spaces, edge traffic) to reuse and
+            extend; ``None`` gives this optimizer a fresh
+            :class:`~repro.core.optimizer.memo.SearchMemo`.
     """
 
     def __init__(
@@ -139,6 +143,7 @@ class PrimeParOptimizer:
         beam: Optional[int] = None,
         jobs: int = 1,
         use_disk_cache: bool = True,
+        memo: Optional[SearchMemo] = None,
     ) -> None:
         self.profiler = profiler
         self.include_temporal = include_temporal
@@ -152,9 +157,10 @@ class PrimeParOptimizer:
         )
         self.inter_model = InterOperatorCostModel(profiler)
         self._candidate_cache: Dict[Tuple, CandidateSet] = {}
-        #: Edge cost matrices memoized on (edge signature, candidate
-        #: identities) — stacked layers and repeated type pairs pay once.
-        self._edge_memo: Dict[Tuple, np.ndarray] = {}
+        #: Operator spaces and edge traffic, shared by every search that
+        #: runs through this memo — stacked layers and repeated type pairs
+        #: pay once.
+        self.memo = memo if memo is not None else SearchMemo()
 
     # ------------------------------------------------------------------
     # candidates
@@ -223,41 +229,55 @@ class PrimeParOptimizer:
             # Fan out only when fits cannot depend on RNG draw order.
             jobs = self.jobs if self.profiler.noise == 0.0 else 1
             if jobs > 1 and len(misses) > 1:
-                payloads = [
-                    (
-                        node,
-                        n_bits,
-                        self.profiler,
-                        self.intra_model.alpha,
-                        self.intra_model.memory,
-                        self.include_temporal,
-                        self.partition_batch,
-                        self.beam,
-                    )
-                    for _, node, _ in misses
-                ]
-                built = parallel_map(build_candidates_task, payloads, jobs)
-            else:
-                built = []
-                for _, node, _ in misses:
-                    check_deadline(deadline, "candidates")
-                    built.append(
-                        build_candidates(
-                            node,
-                            n_bits,
-                            self.intra_model,
-                            include_temporal=self.include_temporal,
-                            partition_batch=self.partition_batch,
-                            beam=self.beam,
-                        )
-                    )
-            for (key, _, disk_key), candidate_set in zip(misses, built):
+                self._build_spaces([node for _, node, _ in misses], jobs)
+            for key, node, disk_key in misses:
+                check_deadline(deadline, "candidates")
+                candidate_set = build_candidates(
+                    node,
+                    n_bits,
+                    self.intra_model,
+                    include_temporal=self.include_temporal,
+                    partition_batch=self.partition_batch,
+                    beam=self.beam,
+                    memo=self.memo,
+                )
                 self._candidate_cache[key] = candidate_set
                 if disk_key is not None:
                     diskcache.store("candidates", disk_key, candidate_set)
         return {
             name: self._candidate_cache[key] for name, key in node_keys.items()
         }
+
+    def _build_spaces(self, nodes, jobs: int) -> None:
+        """Build the memo's missing operator spaces over a process pool.
+
+        Workers return alpha-free :class:`OperatorSpace` records; the
+        candidate sets are then derived from the memo in this process.
+        """
+        n_bits = self.profiler.topology.n_bits
+        todo = []
+        for node in nodes:
+            key = space_key(
+                node, n_bits, self.intra_model, self.include_temporal,
+                self.partition_batch, True, (),
+            )
+            if key is not None and self.memo.spaces.get(key) is None:
+                todo.append((key, node))
+        payloads = [
+            (
+                node,
+                n_bits,
+                self.profiler,
+                self.intra_model.memory,
+                self.include_temporal,
+                self.partition_batch,
+            )
+            for _, node in todo
+        ]
+        for (key, _), space in zip(
+            todo, parallel_map(build_space_task, payloads, jobs)
+        ):
+            self.memo.spaces.put(key, space)
 
     # ------------------------------------------------------------------
     # search
@@ -300,7 +320,7 @@ class PrimeParOptimizer:
                     tables.append(
                         solve_segment(
                             graph, seg, candidates, self.inter_model,
-                            edge_memo=self._edge_memo,
+                            memo=self.memo,
                         )
                     )
             segments_done = time.perf_counter()
@@ -327,7 +347,7 @@ class PrimeParOptimizer:
                         cross_cost = sum(
                             edge_cost_matrix(
                                 graph, self.inter_model, candidates,
-                                e.src, e.dst, memo=self._edge_memo,
+                                e.src, e.dst, memo=self.memo,
                             )
                             for e in pair_edges
                         )

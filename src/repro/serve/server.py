@@ -88,6 +88,10 @@ from .store import PlanStore, default_store
 
 logger = get_logger("serve.server")
 
+#: Response content types.
+JSON = "application/json"
+PROMETHEUS = "text/plain; version=0.0.4"
+
 #: Largest accepted request body (a search request is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
 
@@ -426,38 +430,38 @@ class PlanServer:
                 self._drained.notify_all()
 
 
+def _json(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode()
+
+
 def _make_handler(server: PlanServer):
     """A handler class bound to one :class:`PlanServer` instance."""
 
     class Handler(BaseHTTPRequestHandler):
         server_version = "primepar-serve/1.0"
         protocol_version = "HTTP/1.1"
+        #: TCP_NODELAY: the body, written after the headers, would
+        #: otherwise wait in Nagle's buffer for the client's delayed ACK —
+        #: about 40 ms on every keep-alive response.
+        disable_nagle_algorithm = True
 
         # -- plumbing --------------------------------------------------
 
         def log_message(self, format: str, *args) -> None:
             logger.debug("http: " + format, *args)
 
-        def _send_json(
+        def _send(
             self,
             status: int,
-            payload: Dict[str, Any],
+            content_type: str,
+            body: bytes,
             retry_after: Optional[float] = None,
         ) -> None:
-            body = json.dumps(payload, sort_keys=True).encode()
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             if retry_after is not None:
                 self.send_header("Retry-After", str(max(1, round(retry_after))))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, status: int, text: str) -> None:
-            body = text.encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
@@ -512,7 +516,9 @@ def _make_handler(server: PlanServer):
             except Exception:
                 logger.exception("unhandled error on %s %s", method, self.path)
                 try:
-                    self._send_json(500, {"error": "internal server error"})
+                    self._send(
+                        500, JSON, _json({"error": "internal server error"})
+                    )
                 except Exception:
                     pass
                 status = 500
@@ -556,14 +562,15 @@ def _make_handler(server: PlanServer):
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
             if method == "GET" and path == "/healthz":
                 if server.draining:
-                    self._send_json(
-                        503, {"status": "draining"},
+                    self._send(
+                        503, JSON, _json({"status": "draining"}),
                         retry_after=server.config.retry_after,
                     )
                     return "/healthz", 503
-                self._send_json(
+                self._send(
                     200,
-                    {
+                    JSON,
+                    _json({
                         "status": "ok",
                         "inflight": server.inflight(),
                         "active_searches": server.service.admission.active,
@@ -571,49 +578,59 @@ def _make_handler(server: PlanServer):
                         "plan_store": server.service.store.stats(),
                         "latency_ms": server.latency_snapshot(),
                         "slo": server.slo_status(),
-                    },
+                    }),
                 )
                 return "/healthz", 200
             if method == "GET" and path == "/metrics":
                 server.latency_snapshot()  # refresh serve.latency_ms gauges
-                self._send_text(200, get_registry().to_prometheus())
+                self._send(
+                    200, PROMETHEUS, get_registry().to_prometheus().encode()
+                )
                 return "/metrics", 200
             if method == "GET" and path == "/debug/flightrecorder":
-                self._send_json(200, server.flight.dump())
+                self._send(200, JSON, _json(server.flight.dump()))
                 return "/debug/flightrecorder", 200
             if method == "GET" and path.startswith("/v1/traces/"):
                 trace_id = path[len("/v1/traces/"):]
                 record = server.traces.get(trace_id)
                 if record is None:
-                    self._send_json(
-                        404, {"error": f"no trace for id {trace_id!r}"}
+                    self._send(
+                        404,
+                        JSON,
+                        _json({"error": f"no trace for id {trace_id!r}"}),
                     )
                     return "/v1/traces", 404
-                self._send_json(200, record)
+                self._send(200, JSON, _json(record))
                 return "/v1/traces", 200
             if method == "GET" and path.startswith("/v1/plans/"):
                 key = path[len("/v1/plans/"):]
                 payload = server.service.plan(key)
                 if payload is None:
-                    self._send_json(404, {"error": f"no plan for key {key!r}"})
+                    self._send(
+                        404,
+                        JSON,
+                        _json({"error": f"no plan for key {key!r}"}),
+                    )
                     return "/v1/plans", 404
                 if self._debug_trace_requested():
                     trace = current_trace()
                     if trace is not None:
                         payload = self._attach_debug_trace(payload, trace, 200)
-                self._send_json(200, payload)
+                self._send(200, JSON, _json(payload))
                 return "/v1/plans", 200
             if method == "POST" and path in POST_ROUTES:
                 return path, self._execute(path)
-            self._send_json(
-                404, {"error": f"no route for {method} {self.path}"}
+            self._send(
+                404,
+                JSON,
+                _json({"error": f"no route for {method} {self.path}"}),
             )
             return "(unrouted)", 404
 
         def _execute(self, path: str) -> int:
             if server.draining:
-                self._send_json(
-                    503, {"error": "server draining"},
+                self._send(
+                    503, JSON, _json({"error": "server draining"}),
                     retry_after=server.config.retry_after,
                 )
                 return 503
@@ -625,23 +642,25 @@ def _make_handler(server: PlanServer):
                 )
                 payload = getattr(server.service, method)(request, deadline)
             except ValidationError as exc:
-                self._send_json(400, {"error": str(exc)})
+                self._send(400, JSON, _json({"error": str(exc)}))
                 return 400
             except AdmissionRejected as exc:
-                self._send_json(
-                    exc.status, {"error": str(exc)},
+                self._send(
+                    exc.status, JSON, _json({"error": str(exc)}),
                     retry_after=exc.retry_after,
                 )
                 return exc.status
             except SearchDeadlineExceeded as exc:
-                self._send_json(
-                    503, {"error": str(exc)},
+                self._send(
+                    503, JSON, _json({"error": str(exc)}),
                     retry_after=server.config.retry_after,
                 )
                 return 503
             except FutureTimeoutError:
-                self._send_json(
-                    503, {"error": "timed out waiting for coalesced result"},
+                self._send(
+                    503,
+                    JSON,
+                    _json({"error": "timed out waiting for coalesced result"}),
                     retry_after=server.config.retry_after,
                 )
                 return 503
@@ -649,7 +668,7 @@ def _make_handler(server: PlanServer):
                 trace = current_trace()
                 if trace is not None:
                     payload = self._attach_debug_trace(payload, trace, 200)
-            self._send_json(200, payload)
+            self._send(200, JSON, _json(payload))
             return 200
 
     return Handler

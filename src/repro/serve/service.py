@@ -13,8 +13,10 @@ object.  One search request flows through:
 4. **admission** — the single leader takes an execution slot (or is
    rejected 429/503 with ``Retry-After``);
 5. **search** — :func:`repro.api.run_search` runs under the request's
-   cooperative :class:`~repro.core.optimizer.deadline.Deadline`; the
-   JSON-shaped payload is written through both store tiers.
+   cooperative :class:`~repro.core.optimizer.deadline.Deadline`, reusing
+   the alpha-free work of earlier searches from the service's
+   :class:`~repro.core.optimizer.memo.SearchMemo`; the JSON-shaped payload
+   is written through both store tiers.
 
 Simulate, explain and robustness requests resolve their plan through the
 same search path, then run the matching :mod:`repro.api` executor once per
@@ -44,6 +46,7 @@ from ..api import (
     run_simulate,
 )
 from ..core.optimizer.deadline import Deadline, SearchDeadlineExceeded
+from ..core.optimizer.memo import SearchMemo
 from ..graph.models import MODELS_BY_KEY
 from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
@@ -108,6 +111,9 @@ class PlanService:
         self.default_deadline = default_deadline
         self._searches = SingleFlight()
         self._flights = {kind: SingleFlight() for kind in DERIVED_KINDS}
+        #: Operator spaces and edge traffic shared by every search this
+        #: service runs (fixed-size LRUs; see :mod:`repro.core.optimizer.memo`).
+        self.memo = SearchMemo()
 
     # ------------------------------------------------------------------
     # search
@@ -161,7 +167,9 @@ class PlanService:
     ) -> Dict[str, Any]:
         started = time.perf_counter()
         try:
-            result = run_search(params, jobs=self.jobs, deadline=deadline)
+            result = run_search(
+                params, jobs=self.jobs, deadline=deadline, memo=self.memo
+            )
         except SearchDeadlineExceeded:
             counter("serve.rejected", reason="deadline").inc()
             raise
@@ -303,7 +311,10 @@ class PlanService:
         """Score the plan for ``request.search`` under a fault model.
 
         Coalesced per ``(plan key, fault model, scenarios, seed, layers)``.
-        The returned ``report`` is a schema-versioned
+        The coalesced work is the report alone; ``objective``, ``blend``
+        and ``score`` are each caller's own, so concurrent requests that
+        differ only in objective share one Monte-Carlo sweep.  The returned
+        ``report`` is a schema-versioned
         :class:`~repro.sim.faults.RobustnessReport` document; same seed +
         plan + fault spec reproduces it bit-identically regardless of the
         service's ``jobs`` fan-out.
@@ -312,22 +323,26 @@ class PlanService:
         search = request.search
 
         def run(plan_payload: Mapping[str, Any]) -> Dict[str, Any]:
-            report = run_robustness(
-                request, plan_payload["plan"], jobs=self.jobs
-            )
             return {
-                "model": search.model,
-                "devices": search.devices,
-                "batch": search.batch,
-                "layers": request.n_layers,
-                "objective": request.objective,
-                "blend": request.blend,
-                "score": report.score(request.objective, request.blend),
-                "report": report.to_json(),
+                "report": run_robustness(
+                    request, plan_payload["plan"], jobs=self.jobs
+                )
             }
 
-        return self._derived(
+        shared = self._derived(
             "robustness", search, deadline_s, run,
             fault_model.canonical(), request.scenarios, request.seed,
             request.n_layers,
         )
+        report = shared.pop("report")
+        return {
+            "model": search.model,
+            "devices": search.devices,
+            "batch": search.batch,
+            "layers": request.n_layers,
+            "objective": request.objective,
+            "blend": request.blend,
+            "score": report.score(request.objective, request.blend),
+            "report": report.to_json(),
+            **shared,
+        }

@@ -23,8 +23,11 @@ from repro import (
     v100_cluster,
 )
 from repro import cache as diskcache
+from repro.api import SearchRequest, build_setting, plan_to_json, run_search
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.optimizer.candidates import build_candidates
+from repro.core.optimizer.dp import edge_cost_matrix
+from repro.core.optimizer.memo import SearchMemo
 from repro.core.optimizer.parallel import parallel_map, resolve_jobs
 from repro.graph.models import OPT_6_7B
 
@@ -98,16 +101,82 @@ def test_search_equivalence_16_devices_beam(tmp_path, monkeypatch):
 
 
 def test_repeat_search_uses_edge_memo(tmp_path, monkeypatch):
-    """A second optimize() on one optimizer reuses memoized edge matrices."""
+    """A second optimize() on one optimizer reuses memoized edge traffic."""
     monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
     profiler = FabricProfiler(v100_cluster(8))
     graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
     optimizer = PrimeParOptimizer(profiler, alpha=2e-11)
     first = optimizer.optimize(graph)
-    assert len(optimizer._edge_memo) > 0
+    assert len(optimizer.memo.traffic) > 0
     second = optimizer.optimize(graph)
     assert second.cost == first.cost
     assert _fingerprint(second.plan) == _fingerprint(first.plan)
+
+
+def test_shared_memo_searches_match_fresh_ones(monkeypatch):
+    """One memo across models, alphas, beams and clusters changes nothing.
+
+    OPT-6.7B and LLaMA2-7B share boundary classes but not FFN sizes, so a
+    traffic memo that ignored the operators' type keys would hand one
+    model's FFN traffic to the other.
+    """
+    monkeypatch.setenv("PRIMEPAR_CACHE", "off")
+    memo = SearchMemo()
+    sequence = [
+        SearchRequest(model="opt-6.7b", devices=8, batch=8, alpha=2e-11),
+        SearchRequest(model="llama2-7b", devices=8, batch=8, alpha=0.0),
+        SearchRequest(model="llama2-7b", devices=8, batch=8, alpha=0.0,
+                      beam=8),
+        SearchRequest(model="llama2-7b", devices=4, batch=16, alpha=0.0),
+    ]
+    spaces = []
+    for request in sequence:
+        shared = run_search(request, memo=memo)
+        fresh = run_search(request)
+        assert shared.cost.hex() == fresh.cost.hex(), request
+        assert shared.model_cost.hex() == fresh.model_cost.hex(), request
+        assert plan_to_json(shared.plan) == plan_to_json(fresh.plan), request
+        spaces.append(len(memo.spaces))
+        # Every edge matrix, not only the optimum's, is the fresh one.
+        _, profiler, graph = build_setting(request)
+        optimizer = PrimeParOptimizer(
+            profiler, alpha=request.alpha, beam=request.beam or None,
+            memo=memo,
+        )
+        candidates = optimizer.candidates_for(graph)
+        for edge in graph.edges:
+            args = (graph, optimizer.inter_model, candidates, edge.src,
+                    edge.dst)
+            assert np.array_equal(
+                edge_cost_matrix(*args, memo=memo), edge_cost_matrix(*args)
+            ), (request, edge.key())
+    # The beam-8 search derived every operator space from the memo.
+    assert spaces[2] == spaces[1]
+
+
+def test_disk_loaded_candidates_keep_their_token(tmp_path, monkeypatch):
+    """Class tokens are content-derived, so they survive the disk cache."""
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+    profiler = FabricProfiler(v100_cluster(8))
+    graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
+    built = PrimeParOptimizer(profiler, alpha=2e-11).candidates_for(graph)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("candidates were rebuilt, not loaded")
+
+    monkeypatch.setattr(
+        "repro.core.optimizer.candidates.build_space", no_build
+    )
+    loaded = PrimeParOptimizer(profiler, alpha=2e-11).candidates_for(graph)
+    for name, cset in built.items():
+        twin = loaded[name]
+        assert twin is not cset
+        assert twin.specs == cset.specs
+        assert twin.class_token == cset.class_token
+        # A set pickled without its token derives the same one.
+        legacy = pickle.loads(pickle.dumps(cset))
+        del legacy.__dict__["_class_token"]
+        assert legacy.class_token == cset.class_token
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):

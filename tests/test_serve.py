@@ -8,12 +8,17 @@ hit/miss/coalescing counters are exact.
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
+import socket
+import statistics
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -555,6 +560,112 @@ class TestHTTPEndpoints:
 # ----------------------------------------------------------------------
 
 
+class TestKeepAlive:
+    """Keep-alive responses do not wait on a delayed ACK; bytes unchanged."""
+
+    @staticmethod
+    def _raw(server, request: bytes) -> bytes:
+        """One raw request; the response with its ``Date`` value masked."""
+        with socket.create_connection(("127.0.0.1", server.port), 30) as conn:
+            conn.sendall(request)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(65536)
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(body) < length:
+                body += conn.recv(65536)
+        head = re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: *", head)
+        return head + b"\r\n\r\n" + body
+
+    @staticmethod
+    def _head(status: str, content_type: str, body: bytes, *extra) -> bytes:
+        lines = [
+            f"HTTP/1.1 {status}",
+            "Server: primepar-serve/1.0 "
+            + BaseHTTPRequestHandler.sys_version,
+            "Date: *",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            *extra,
+        ]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+    def test_keep_alive_hits_do_not_stall(self, server):
+        body = json.dumps({"model": MODEL, "devices": 2, "batch": 8})
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=120)
+        try:
+            seconds = []
+            for i in range(16):
+                started = time.perf_counter()
+                conn.request("POST", "/v1/search", body=body, headers=headers)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                if i:  # the first request computes the plan
+                    seconds.append(time.perf_counter() - started)
+                    assert payload["source"] == "memory"
+        finally:
+            conn.close()
+        assert len(seconds) == 15
+        assert statistics.median(seconds) < 0.020, seconds
+
+    def test_json_response_bytes(self, server):
+        server.service.store.put("k1", {"cost": 1.5, "plan": {"a": "B"}})
+        body = (
+            b'{"cost": 1.5, "key": "k1", "plan": {"a": "B"}, '
+            b'"source": "memory"}'
+        )
+        raw = self._raw(server, b"GET /v1/plans/k1 HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert raw == self._head("200 OK", "application/json", body)
+
+    def test_metrics_response_bytes(self, server, monkeypatch):
+        class Fixed:
+            def to_prometheus(self):
+                return "# TYPE primepar_x counter\nprimepar_x 1\n"
+
+        monkeypatch.setattr("repro.serve.server.get_registry", Fixed)
+        raw = self._raw(server, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert raw == self._head(
+            "200 OK", "text/plain; version=0.0.4",
+            b"# TYPE primepar_x counter\nprimepar_x 1\n",
+        )
+
+    def test_rejection_response_bytes(self, fresh_cache, registry):
+        service = _service(
+            admission=AdmissionController(
+                max_concurrent=1, max_queue=0, retry_after=2.6
+            )
+        )
+        server = PlanServer(ServeConfig(port=0), service=service).start()
+        entered, release = _gate_search(service)
+        try:
+            holder = threading.Thread(
+                target=PlanClient(server.url).search,
+                args=(SearchRequest(model=MODEL, devices=2, batch=8),),
+            )
+            holder.start()
+            assert entered.wait(timeout=60.0)
+            request = json.dumps({"model": MODEL, "devices": 4, "batch": 8})
+            raw = self._raw(
+                server,
+                b"POST /v1/search HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(request)}\r\n\r\n".encode()
+                + request.encode(),
+            )
+            body = b'{"error": "admission queue full (0 waiting, 1 active)"}'
+            assert raw == self._head(
+                "429 Too Many Requests", "application/json", body,
+                "Retry-After: 3",
+            )
+            release.set()
+            holder.join(timeout=120.0)
+        finally:
+            release.set()
+            server.shutdown()
+
+
 class TestServerBehavior:
     def test_concurrent_identical_searches_run_once(self, server):
         """Two concurrent identical /v1/search bodies → exactly one search,
@@ -966,6 +1077,53 @@ class TestRobustnessHTTP:
         assert again["plan_source"] == "memory"
         assert again["score"] == payload["score"]
         assert again["report"] == report
+
+    def test_coalesced_callers_keep_their_own_objective(
+        self, fresh_cache, registry, monkeypatch
+    ):
+        """Requests differing only in objective share one sweep, yet each
+        is scored under its own objective."""
+        import repro.serve.service as service_module
+
+        service = _service()
+        service.search(self._request().search)  # warm the plan
+        entered, release = threading.Event(), threading.Event()
+        real = service_module.run_robustness
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=60.0), "gated sweep never released"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "run_robustness", gated)
+        results = {}
+
+        def ask(objective):
+            results[objective] = service.robustness(
+                self._request(objective=objective)
+            )
+
+        leader = threading.Thread(target=ask, args=("p99",))
+        leader.start()
+        assert entered.wait(timeout=60.0)
+        follower = threading.Thread(target=ask, args=("nominal",))
+        follower.start()
+        deadline = time.monotonic() + 30.0
+        while counter("serve.coalesced").value < 1:
+            assert time.monotonic() < deadline, "follower never coalesced"
+            time.sleep(0.005)
+        release.set()
+        for thread in (leader, follower):
+            thread.join(timeout=120.0)
+        p99, nominal = results["p99"], results["nominal"]
+        assert (p99["source"], nominal["source"]) == ("computed", "coalesced")
+        assert counter("serve.robustness").value == 1
+        assert p99["report"] == nominal["report"]
+        assert p99["objective"] == "p99"
+        assert p99["score"] == p99["report"]["p99"]
+        assert nominal["objective"] == "nominal"
+        assert nominal["score"] == nominal["report"]["nominal_latency"]
+        assert nominal["score"] != p99["score"]
 
     def test_http_round_trip_and_report_rehydration(self, server):
         from repro.sim.faults import RobustnessReport
